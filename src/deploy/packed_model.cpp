@@ -21,6 +21,10 @@ constexpr std::uint32_t kVersion = 3;
 
 constexpr const char* kCtx = "PackedModel::load";
 
+// Entry-count plausibility cap, checked before anything is sized from the
+// count (tenant::MaskDelta caps its entries the same way).
+constexpr std::uint64_t kMaxEntries = std::uint64_t{1} << 20;
+
 using io::write_pod;
 
 template <typename T>
@@ -47,13 +51,20 @@ void write_shape(std::ostream& os, const Shape& shape) {
   for (const std::int64_t d : shape) write_pod(os, d);
 }
 
-Shape read_shape(std::istream& is) {
+/// Reads a shape of at most `max_numel` elements. The running product is
+/// checked in shape_numel's order, so it never overflows.
+Shape read_shape(std::istream& is, std::int64_t max_numel) {
   const auto rank = read_pod<std::uint64_t>(is);
   CRISP_CHECK(rank <= 8, "PackedModel::load: implausible tensor rank");
   Shape shape(static_cast<std::size_t>(rank));
+  std::int64_t numel = 1;
   for (auto& d : shape) {
     d = read_pod<std::int64_t>(is);
     CRISP_CHECK(d >= 0, "PackedModel::load: negative dimension");
+    CRISP_CHECK(numel == 0 || d <= max_numel / numel,
+                "PackedModel::load: tensor shape exceeds " << max_numel
+                    << " elements");
+    numel *= d;
   }
   return shape;
 }
@@ -65,8 +76,8 @@ void write_tensor(std::ostream& os, const Tensor& t) {
                static_cast<std::streamsize>(sizeof(float)));
 }
 
-Tensor read_tensor(std::istream& is) {
-  Tensor t(read_shape(is));
+Tensor read_tensor(std::istream& is, std::int64_t max_numel) {
+  Tensor t(read_shape(is, max_numel));
   is.read(reinterpret_cast<char*>(t.data()),
           static_cast<std::streamsize>(t.numel()) *
               static_cast<std::streamsize>(sizeof(float)));
@@ -153,6 +164,13 @@ PackedModel PackedModel::load(const std::string& path) {
   testing::maybe_fail("packedmodel.load");
   std::ifstream is(path, std::ios::binary);
   CRISP_CHECK(is.is_open(), "PackedModel::load: cannot open " << path);
+  // A dense tensor's payload cannot outgrow the file, so its shape is
+  // bounded by the file size before the tensor is allocated.
+  is.seekg(0, std::ios::end);
+  const auto max_dense_numel =
+      static_cast<std::int64_t>(is.tellg()) /
+      static_cast<std::int64_t>(sizeof(float));
+  is.seekg(0, std::ios::beg);
   CRISP_CHECK(read_pod<std::uint64_t>(is) == kMagic,
               path << " is not a packed CRISP model");
   const auto version = read_pod<std::uint32_t>(is);
@@ -164,11 +182,15 @@ PackedModel PackedModel::load(const std::string& path) {
   out.m_ = io::read_pod<std::int64_t>(ci, kCtx);
   out.block_ = io::read_pod<std::int64_t>(ci, kCtx);
   const auto entry_count = io::read_pod<std::uint64_t>(ci, kCtx);
+  CRISP_CHECK(entry_count <= kMaxEntries,
+              kCtx << ": implausible entry count " << entry_count);
   out.entries_.reserve(static_cast<std::size_t>(entry_count));
   for (std::uint64_t i = 0; i < entry_count; ++i) {
     PackedEntry e;
     e.name = read_string(ci);
-    e.shape = read_shape(ci);
+    // A packed entry's shape must match its matrix, whose sides
+    // CrispMatrix::read bounds.
+    e.shape = read_shape(ci, sparse::kMaxMatrixSide * sparse::kMaxMatrixSide);
     e.matrix = sparse::CrispMatrix::read(ci, /*payload_crc=*/version >= 3);
     CRISP_CHECK(shape_numel(e.shape) ==
                     e.matrix.rows() * e.matrix.cols(),
@@ -179,7 +201,7 @@ PackedModel PackedModel::load(const std::string& path) {
   const auto dense_count = io::read_pod<std::uint64_t>(ci, kCtx);
   for (std::uint64_t i = 0; i < dense_count; ++i) {
     std::string name = read_string(ci);
-    out.dense_.emplace(std::move(name), read_tensor(ci));
+    out.dense_.emplace(std::move(name), read_tensor(ci, max_dense_numel));
   }
   if (version >= 3) {
     const std::uint32_t want = ci.crc();

@@ -9,11 +9,19 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "tensor/tensor.h"
 
 namespace crisp::sparse {
+
+/// Largest matrix side (rows, cols or block) an artifact header may
+/// declare. Block columns are stored as int32, and the bound keeps every
+/// product of two grid extents inside int64, so a reader checks a header
+/// against it before doing any arithmetic on the header.
+constexpr std::int64_t kMaxMatrixSide =
+    std::numeric_limits<std::int32_t>::max();
 
 struct BlockGrid {
   std::int64_t rows = 0;   ///< matrix rows S

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <type_traits>
 
 #include "kernels/parallel_for.h"
 #include "kernels/prefetch.h"
@@ -16,6 +17,35 @@ namespace crisp::sparse {
 namespace {
 
 constexpr const char* kCtx = "CrispMatrix::read";
+
+// Block predicates of CrispMatrix::walk, chosen at compile time so the
+// unrestricted paths pay no per-block test.
+struct AllBlocks {
+  bool operator()(std::int64_t) const { return true; }
+};
+
+/// Kept bitmap over stored block positions, row-major, LSB-first (the
+/// restricted_to_blocks layout).
+struct KeptBlocks {
+  const std::uint8_t* bits;
+  bool operator()(std::int64_t blk) const {
+    return (bits[blk >> 3] >> (blk & 7)) & 1u;
+  }
+};
+
+/// Shape checks every restriction argument must pass: one bit per stored
+/// block, and a per-row keep count the rows can hold.
+void check_restriction(const char* ctx, std::int64_t total_blocks,
+                       std::int64_t blocks_per_row,
+                       const std::vector<std::uint8_t>& kept,
+                       std::int64_t kept_per_row) {
+  CRISP_CHECK(static_cast<std::int64_t>(kept.size()) == (total_blocks + 7) / 8,
+              ctx << ": bitmap holds " << kept.size() * 8
+                  << " bits, matrix stores " << total_blocks << " blocks");
+  CRISP_CHECK(kept_per_row >= 0 && kept_per_row <= blocks_per_row,
+              ctx << ": kept_per_row " << kept_per_row << " outside [0, "
+                  << blocks_per_row << "]");
+}
 
 }  // namespace
 
@@ -145,147 +175,118 @@ void CrispMatrix::release_fp32_payload() {
   values_.shrink_to_fit();
 }
 
+template <typename Slot, typename Keep>
+void CrispMatrix::walk(ConstMatrixView x, MatrixView y, const Slot* slots,
+                       Keep keep, std::int64_t walked_per_row,
+                       const float* row_scales) const {
+  CRISP_CHECK(x.rows == grid_.cols, "CRISP spmm: inner dimension mismatch");
+  CRISP_CHECK(y.rows == grid_.rows && y.cols == x.cols,
+              "CRISP spmm: output shape");
+  constexpr bool kInt8 = std::is_same_v<Slot, std::int8_t>;
+  const std::int64_t block = grid_.block, groups = block / m_, p = x.cols;
+  const std::int64_t band = slots_per_block_row();
+  // Block-rows own disjoint bands of output rows, so partitioning over them
+  // keeps every output row single-writer and the result thread-count
+  // independent. This is also the threaded path packed deployment runs.
+  const std::int64_t grain =
+      kernels::rows_grain(walked_per_row * block * groups * n_ * p);
+  const auto axpy = kernels::simd::active().axpy;
+  const auto axpy_i8 = kernels::simd::active().axpy_i8;
+  kernels::parallel_for(grid_.grid_rows(), [&](std::int64_t br0,
+                                               std::int64_t br1) {
+    for (std::int64_t br = br0; br < br1; ++br) {
+      std::memset(y.data + br * block * p, 0,
+                  static_cast<std::size_t>(grid_.row_extent(br) * p) *
+                      sizeof(float));
+      // int8 slots dequantize by one scale per block-row's slot band: the
+      // caller's override when given, else the payload's own.
+      float scale = 0.0f;
+      if constexpr (kInt8)
+        scale = row_scales != nullptr
+                    ? row_scales[br]
+                    : qvalues_.scale_for(br * band);
+      for (std::int64_t i = 0; i < blocks_per_row_; ++i) {
+        const std::int64_t blk = br * blocks_per_row_ + i;
+        if (!keep(blk)) continue;
+        const std::int64_t bc = block_cols_[static_cast<std::size_t>(blk)];
+        // Block-level indirection: prefetch the next stored block's
+        // activation band while this block multiplies (hint only — results
+        // are unchanged).
+        if (i + 1 < blocks_per_row_)
+          kernels::prefetch_read(
+              x.data +
+              block_cols_[static_cast<std::size_t>(blk) + 1] * block * p);
+        for (std::int64_t r = 0; r < grid_.row_extent(br); ++r) {
+          float* yrow = y.data + (br * block + r) * p;
+          for (std::int64_t g = 0; g < groups; ++g) {
+            const std::int64_t base = ((blk * block + r) * groups + g) * n_;
+            const std::int64_t col0 = bc * block + g * m_;
+            for (std::int64_t s = 0; s < n_; ++s) {
+              const auto slot = static_cast<std::size_t>(base + s);
+              const Slot v = slots[slot];
+              if (v == 0) continue;  // padded slot, or int8 rounded to zero
+              // The MUX step of Fig. 6: the offset selects the activation
+              // row.
+              const float* xrow = x.data + (col0 + offsets_[slot]) * p;
+              if constexpr (kInt8)
+                axpy_i8(v, scale, xrow, yrow, p);
+              else
+                axpy(v, xrow, yrow, p);
+            }
+          }
+        }
+      }
+    }
+  }, grain);
+}
+
 void CrispMatrix::spmm(ConstMatrixView x, MatrixView y) const {
   if (!has_fp32() && has_quantized()) {
     spmm_quantized(x, y);
     return;
   }
-  CRISP_CHECK(x.rows == grid_.cols, "CRISP spmm: inner dimension mismatch");
-  CRISP_CHECK(y.rows == grid_.rows && y.cols == x.cols,
-              "CRISP spmm: output shape");
-  const std::int64_t block = grid_.block, groups = block / m_, p = x.cols;
-  // Block-rows own disjoint bands of output rows, so partitioning over them
-  // keeps every output row single-writer and the result thread-count
-  // independent. This is also the threaded path packed deployment runs.
-  const std::int64_t grain =
-      kernels::rows_grain(blocks_per_row_ * block * groups * n_ * p);
-  const auto axpy = kernels::simd::active().axpy;
-  kernels::parallel_for(grid_.grid_rows(), [&](std::int64_t br0,
-                                               std::int64_t br1) {
-    for (std::int64_t br = br0; br < br1; ++br) {
-      std::memset(y.data + br * block * p, 0,
-                  static_cast<std::size_t>(grid_.row_extent(br) * p) *
-                      sizeof(float));
-      for (std::int64_t i = 0; i < blocks_per_row_; ++i) {
-        const std::int64_t blk = br * blocks_per_row_ + i;
-        const std::int64_t bc = block_cols_[static_cast<std::size_t>(blk)];
-        // Block-level indirection: prefetch the next block's activation
-        // band while this block multiplies (hint only — results are
-        // unchanged).
-        if (i + 1 < blocks_per_row_)
-          kernels::prefetch_read(
-              x.data +
-              block_cols_[static_cast<std::size_t>(blk) + 1] * block * p);
-        for (std::int64_t r = 0; r < grid_.row_extent(br); ++r) {
-          float* yrow = y.data + (br * block + r) * p;
-          for (std::int64_t g = 0; g < groups; ++g) {
-            const std::int64_t base = ((blk * block + r) * groups + g) * n_;
-            const std::int64_t col0 = bc * block + g * m_;
-            for (std::int64_t s = 0; s < n_; ++s) {
-              // Next slot's MUX target, one gather ahead of the axpy —
-              // before the zero-skip, so a zero slot still hides the
-              // following slot's gather.
-              if (s + 1 < n_)
-                kernels::prefetch_read(
-                    x.data +
-                    (col0 +
-                     offsets_[static_cast<std::size_t>(base + s) + 1]) *
-                        p);
-              const float v = values_[static_cast<std::size_t>(base + s)];
-              if (v == 0.0f) continue;
-              // The MUX step of Fig. 6: the offset selects the activation
-              // row.
-              axpy(v,
-                   x.data +
-                       (col0 + offsets_[static_cast<std::size_t>(base + s)]) *
-                           p,
-                   yrow, p);
-            }
-          }
-        }
-      }
-    }
-  }, grain);
+  walk(x, y, values_.data(), AllBlocks{}, blocks_per_row_, nullptr);
 }
 
 void CrispMatrix::spmm_quantized(ConstMatrixView x, MatrixView y) const {
   CRISP_CHECK(has_quantized(),
               "CRISP spmm_quantized: no int8 payload attached");
-  CRISP_CHECK(x.rows == grid_.cols,
-              "CRISP spmm_quantized: inner dimension mismatch");
-  CRISP_CHECK(y.rows == grid_.rows && y.cols == x.cols,
-              "CRISP spmm_quantized: output shape");
-  const std::int64_t block = grid_.block, groups = block / m_, p = x.cols;
-  // Same block-row partitioning (and so the same single-writer /
-  // thread-count-independence argument) as the fp32 path; only the slot
-  // coefficient changes: scale_br * int8, fused into the dispatched
-  // axpy_i8 so the inner loop touches one byte per weight slot.
-  const std::int64_t grain =
-      kernels::rows_grain(blocks_per_row_ * block * groups * n_ * p);
-  const auto axpy_i8 = kernels::simd::active().axpy_i8;
-  const std::int8_t* qv = qvalues_.values.data();
-  kernels::parallel_for(grid_.grid_rows(), [&](std::int64_t br0,
-                                               std::int64_t br1) {
-    for (std::int64_t br = br0; br < br1; ++br) {
-      std::memset(y.data + br * block * p, 0,
-                  static_cast<std::size_t>(grid_.row_extent(br) * p) *
-                      sizeof(float));
-      // One scale per block-row's slot band.
-      const float scale = qvalues_.scale_for(br * slots_per_block_row());
-      for (std::int64_t i = 0; i < blocks_per_row_; ++i) {
-        const std::int64_t blk = br * blocks_per_row_ + i;
-        const std::int64_t bc = block_cols_[static_cast<std::size_t>(blk)];
-        // Same block-band prefetch as the fp32 path (hint only).
-        if (i + 1 < blocks_per_row_)
-          kernels::prefetch_read(
-              x.data +
-              block_cols_[static_cast<std::size_t>(blk) + 1] * block * p);
-        for (std::int64_t r = 0; r < grid_.row_extent(br); ++r) {
-          float* yrow = y.data + (br * block + r) * p;
-          for (std::int64_t g = 0; g < groups; ++g) {
-            const std::int64_t base = ((blk * block + r) * groups + g) * n_;
-            const std::int64_t col0 = bc * block + g * m_;
-            for (std::int64_t s = 0; s < n_; ++s) {
-              // Prefetch before the zero-skip (zeros are common in the
-              // quantized payload) so every slot hides its successor.
-              if (s + 1 < n_)
-                kernels::prefetch_read(
-                    x.data +
-                    (col0 +
-                     offsets_[static_cast<std::size_t>(base + s) + 1]) *
-                        p);
-              const std::int8_t q = qv[static_cast<std::size_t>(base + s)];
-              if (q == 0) continue;  // padded slot or value rounded to zero
-              axpy_i8(q, scale,
-                      x.data +
-                          (col0 +
-                           offsets_[static_cast<std::size_t>(base + s)]) *
-                              p,
-                      yrow, p);
-            }
-          }
-        }
-      }
-    }
-  }, grain);
+  walk(x, y, qvalues_.values.data(), AllBlocks{}, blocks_per_row_, nullptr);
+}
+
+void CrispMatrix::spmm_restricted(ConstMatrixView x, MatrixView y,
+                                  const std::vector<std::uint8_t>& kept,
+                                  std::int64_t kept_per_row,
+                                  const std::vector<float>& row_scales) const {
+  const std::int64_t gr = grid_.grid_rows();
+  check_restriction("spmm_restricted", gr * blocks_per_row_, blocks_per_row_,
+                    kept, kept_per_row);
+  CRISP_CHECK(row_scales.empty() ||
+                  static_cast<std::int64_t>(row_scales.size()) == gr,
+              "spmm_restricted: need one scale per block-row (" << gr
+                  << "), got " << row_scales.size());
+  const KeptBlocks keep{kept.data()};
+  // The payload restricted_to_blocks(...).spmm runs: fp32 whenever this
+  // matrix carries it (with no block kept, every choice writes zeros).
+  if (!has_fp32() && has_quantized())
+    walk(x, y, qvalues_.values.data(), keep, kept_per_row,
+         row_scales.empty() ? nullptr : row_scales.data());
+  else
+    walk(x, y, values_.data(), keep, kept_per_row, nullptr);
 }
 
 CrispMatrix CrispMatrix::restricted_to_blocks(
     const std::vector<std::uint8_t>& kept, std::int64_t kept_per_row) const {
   const std::int64_t gr = grid_.grid_rows();
-  const std::int64_t total_blocks = gr * blocks_per_row_;
-  CRISP_CHECK(static_cast<std::int64_t>(kept.size()) == (total_blocks + 7) / 8,
-              "restricted_to_blocks: bitmap holds " << kept.size() * 8
-                  << " bits, matrix stores " << total_blocks << " blocks");
-  CRISP_CHECK(kept_per_row >= 0 && kept_per_row <= blocks_per_row_,
-              "restricted_to_blocks: kept_per_row " << kept_per_row
-                  << " outside [0, " << blocks_per_row_ << "]");
+  check_restriction("restricted_to_blocks", gr * blocks_per_row_,
+                    blocks_per_row_, kept, kept_per_row);
 
   CrispMatrix out;
   out.grid_ = grid_;
   out.n_ = n_;
   out.m_ = m_;
   out.blocks_per_row_ = kept_per_row;
+  const KeptBlocks keep{kept.data()};
   const std::int64_t spb = slots_per_block();
   const std::int64_t out_slots = gr * kept_per_row * spb;
   const bool fp32 = has_fp32();
@@ -303,9 +304,7 @@ CrispMatrix CrispMatrix::restricted_to_blocks(
     std::int64_t row_kept = 0;
     for (std::int64_t i = 0; i < blocks_per_row_; ++i) {
       const std::int64_t blk = br * blocks_per_row_ + i;
-      if (!(kept[static_cast<std::size_t>(blk >> 3)] &
-            (1u << (blk & 7))))
-        continue;
+      if (!keep(blk)) continue;
       ++row_kept;
       out.block_cols_.push_back(block_cols_[static_cast<std::size_t>(blk)]);
       const auto s0 = static_cast<std::size_t>(blk * spb);
@@ -384,9 +383,14 @@ CrispMatrix CrispMatrix::read(std::istream& is, bool payload_crc) {
   out.n_ = io::read_pod<std::int64_t>(is, kCtx);
   out.m_ = io::read_pod<std::int64_t>(is, kCtx);
   out.blocks_per_row_ = io::read_pod<std::int64_t>(is, kCtx);
-  CRISP_CHECK(out.grid_.rows > 0 && out.grid_.cols > 0 && out.grid_.block > 0 &&
-                  out.n_ >= 1 && out.n_ <= out.m_ &&
-                  out.grid_.block % out.m_ == 0 && out.blocks_per_row_ >= 0 &&
+  // Sides are bounded first: grid_cols() below adds block - 1 to cols.
+  const auto side_ok = [](std::int64_t v) {
+    return v > 0 && v <= kMaxMatrixSide;
+  };
+  CRISP_CHECK(side_ok(out.grid_.rows) && side_ok(out.grid_.cols) &&
+                  side_ok(out.grid_.block) && out.n_ >= 1 &&
+                  out.n_ <= out.m_ && out.grid_.block % out.m_ == 0 &&
+                  out.blocks_per_row_ >= 0 &&
                   out.blocks_per_row_ <= out.grid_.grid_cols(),
               "CrispMatrix::read: inconsistent header");
   out.block_cols_ = io::read_array<std::int32_t>(is, kCtx);
@@ -396,11 +400,13 @@ CrispMatrix CrispMatrix::read(std::istream& is, bool payload_crc) {
     out.qvalues_ = QuantizedPayload::read(is, payload_crc);
 
   const std::int64_t total_blocks = out.grid_.grid_rows() * out.blocks_per_row_;
-  const std::int64_t slots =
-      total_blocks * out.grid_.block * (out.grid_.block / out.m_) * out.n_;
   CRISP_CHECK(static_cast<std::int64_t>(out.block_cols_.size()) == total_blocks,
               "CrispMatrix::read: block index count mismatch");
-  CRISP_CHECK(static_cast<std::int64_t>(out.offsets_.size()) == slots,
+  // total_blocks * slots_per_block() can overflow for a hostile block side,
+  // so the offsets array (capped by read_array) is divided instead.
+  const auto slots = static_cast<std::int64_t>(out.offsets_.size());
+  CRISP_CHECK(slots % out.slots_per_block() == 0 &&
+                  slots / out.slots_per_block() == total_blocks,
               "CrispMatrix::read: slot count mismatch");
   CRISP_CHECK(static_cast<std::int64_t>(out.values_.size()) == slots ||
                   out.values_.empty(),

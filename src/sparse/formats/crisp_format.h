@@ -50,6 +50,19 @@ class CrispMatrix : public kernels::SpmmKernel {
   /// when no quantized payload is attached.
   void spmm_quantized(ConstMatrixView x, MatrixView y) const;
 
+  /// Multiplies by this matrix restricted to the stored blocks whose bit is
+  /// set in `kept`, in place: bitwise what
+  /// restricted_to_blocks(kept, kept_per_row).spmm(x, y) computes, with
+  /// override_row_scales(row_scales) applied first when `row_scales` is
+  /// non-empty and the int8 payload serves. Nothing is copied, so this is
+  /// the tenant overlay path (tenant/overlay.h). Only sizes are checked per
+  /// call; the per-row popcounts are the caller's to validate once
+  /// (tenant::MaskDelta::validate does).
+  void spmm_restricted(ConstMatrixView x, MatrixView y,
+                       const std::vector<std::uint8_t>& kept,
+                       std::int64_t kept_per_row,
+                       const std::vector<float>& row_scales) const;
+
   /// Builds the int8 payload from the fp32 slots: symmetric quantization,
   /// one scale per block-row's slot band (see sparse/quantized.h for the
   /// error bound). Idempotent; requires the fp32 payload.
@@ -88,14 +101,11 @@ class CrispMatrix : public kernels::SpmmKernel {
     return static_cast<std::int64_t>(offsets_.size());
   }
 
-  /// Zero-copy views of the encoded arena, in stored order (block-rows
-  /// ascending, surviving blocks ascending within a row; slot layout
-  /// block-side rows x groups x n per block). tenant::OverlayMatrix walks
-  /// these to execute a per-tenant block subset directly against this
-  /// matrix's payload without copying it.
+  /// Surviving block columns in stored order (block-rows ascending,
+  /// surviving blocks ascending within a row) — the positions a
+  /// restricted_to_blocks bitmap addresses (tenant::MaskDelta::from_model
+  /// maps a mask onto them).
   const std::vector<std::int32_t>& block_cols() const { return block_cols_; }
-  const std::vector<float>& fp32_values() const { return values_; }
-  const std::vector<std::uint8_t>& slot_offsets() const { return offsets_; }
   /// Slots one surviving block spans: block * (block/m) * n.
   std::int64_t slots_per_block() const {
     return grid_.block * (grid_.block / m_) * n_;
@@ -124,6 +134,15 @@ class CrispMatrix : public kernels::SpmmKernel {
   void override_row_scales(const std::vector<float>& scales);
 
  private:
+  /// The one CRISP block walk behind every spmm entry point
+  /// (crisp_format.cpp): `Slot` is the payload (float, or std::int8_t
+  /// dequantized by the block-row scale), `Keep` the block predicate (every
+  /// stored block, or a kept bitmap), both fixed at compile time.
+  /// `row_scales`, when non-null, replaces the int8 band scales.
+  template <typename Slot, typename Keep>
+  void walk(ConstMatrixView x, MatrixView y, const Slot* slots, Keep keep,
+            std::int64_t walked_per_row, const float* row_scales) const;
+
   BlockGrid grid_;
   std::int64_t n_ = 0;
   std::int64_t m_ = 0;

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <utility>
 
+#include "sparse/block.h"
 #include "tensor/crc32.h"
 #include "tensor/pod_stream.h"
 #include "testing/fault_injection.h"
@@ -33,7 +34,11 @@ void set_bit(std::vector<std::uint8_t>& bits, std::int64_t pos) {
 /// base it binds to: bitmap sized to the block list, uniform per-row
 /// popcounts, trailing padding bits clear, override length fits the grid.
 void check_entry(const EntryDelta& d, const char* ctx) {
-  CRISP_CHECK(d.grid_rows >= 1 && d.base_blocks_per_row >= 0,
+  // Bounded before any arithmetic: no readable base matrix has a side past
+  // kMaxMatrixSide, and within it the block count below fits in int64.
+  CRISP_CHECK(d.grid_rows >= 1 && d.grid_rows <= sparse::kMaxMatrixSide &&
+                  d.base_blocks_per_row >= 0 &&
+                  d.base_blocks_per_row <= sparse::kMaxMatrixSide,
               ctx << ": entry " << d.name << " has degenerate grid");
   CRISP_CHECK(d.kept_per_row >= 0 && d.kept_per_row <= d.base_blocks_per_row,
               ctx << ": entry " << d.name << " keeps " << d.kept_per_row
@@ -47,7 +52,10 @@ void check_entry(const EntryDelta& d, const char* ctx) {
        pos < static_cast<std::int64_t>(d.kept_bits.size()) * 8; ++pos)
     CRISP_CHECK(!bit_set(d.kept_bits, pos),
                 ctx << ": entry " << d.name << " has padding bits set");
-  for (std::int64_t br = 0; br < d.grid_rows; ++br) {
+  // Rows without blocks keep 0 == kept_per_row trivially; skipping them
+  // keeps this walk within the bitmap's bits, not the claimed row count.
+  for (std::int64_t br = 0; d.base_blocks_per_row > 0 && br < d.grid_rows;
+       ++br) {
     std::int64_t kept = 0;
     for (std::int64_t i = 0; i < d.base_blocks_per_row; ++i)
       kept += bit_set(d.kept_bits, br * d.base_blocks_per_row + i) ? 1 : 0;

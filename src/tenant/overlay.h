@@ -1,19 +1,17 @@
 // Zero-copy tenant execution: a delta overlaid on the shared base arena.
 //
-// OverlayMatrix is an SpmmKernel that executes one packed entry restricted
-// to a tenant's kept blocks *in place*: it walks the base CrispMatrix's
-// block list, skips blocks the delta dropped, and multiplies with the
-// base's own value slots and offsets — nothing is copied, the per-tenant
-// state is the delta's bitmap (and optional per-block-row scales). The
-// shared_ptrs to the BaseArtifact and MaskDelta ride in the kernel, so a
-// compiled tenant keeps exactly what it executes from alive.
+// OverlayMatrix is an SpmmKernel view that executes one packed entry
+// restricted to a tenant's kept blocks *in place*: its spmm is one call to
+// the base CrispMatrix's spmm_restricted with the delta's bitmap (and
+// optional per-block-row scales), so the base's own block walk skips the
+// dropped blocks and multiplies with the base's own slots — nothing is
+// copied. The shared_ptrs to the BaseArtifact and MaskDelta ride in the
+// kernel, so a compiled tenant keeps exactly what it executes from alive.
 //
-// Equivalence contract (locked in by tests/test_tenant.cpp): an overlay
-// issues the identical per-slot multiply sequence as the standalone
-// restriction MaskDelta::apply() builds — kept blocks in stored order,
-// same accumulation order, same per-block-row scales on the int8 path —
-// so both produce bit-identical outputs, at any thread count (the usual
-// block-row single-writer argument of the CRISP kernels).
+// Equivalence contract: spmm_restricted computes bitwise what the
+// standalone restriction MaskDelta::apply() builds computes, at any thread
+// count (sparse/formats/crisp_format.h; tests/test_sparse_formats.cpp
+// checks the kernel, tests/test_tenant.cpp whole models).
 #pragma once
 
 #include <memory>
@@ -34,10 +32,10 @@ class OverlayMatrix final : public kernels::SpmmKernel {
                 std::shared_ptr<const MaskDelta> delta,
                 const std::string& name);
 
-  /// Same block-row partitioning (and thread-count-independence argument)
-  /// as CrispMatrix::spmm; runs the base's fp32 slots when present,
-  /// otherwise the int8 payload with the delta's scale overrides (when
-  /// set) replacing the base's per-block-row scales.
+  /// CrispMatrix::spmm_restricted over the base entry with this delta:
+  /// the base's fp32 slots when present, otherwise the int8 payload with
+  /// the delta's scale overrides (when set) replacing the base's
+  /// per-block-row scales.
   void spmm(ConstMatrixView x, MatrixView y) const override;
 
   std::int64_t rows() const override;
@@ -53,9 +51,6 @@ class OverlayMatrix final : public kernels::SpmmKernel {
   bool aliases_base_payload() const;
 
  private:
-  void spmm_fp32(ConstMatrixView x, MatrixView y) const;
-  void spmm_int8(ConstMatrixView x, MatrixView y) const;
-
   std::shared_ptr<const BaseArtifact> base_;
   std::shared_ptr<const MaskDelta> delta_;
   const deploy::PackedEntry* entry_ = nullptr;  ///< into base_'s artifact

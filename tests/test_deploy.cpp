@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 
 #include "core/block_pruning.h"
 #include "core/pruner.h"
@@ -17,6 +18,7 @@
 #include "nn/models/common.h"
 #include "nn/pooling.h"
 #include "nn/trainer.h"
+#include "tensor/pod_stream.h"
 
 namespace crisp::deploy {
 namespace {
@@ -352,6 +354,46 @@ TEST(PackedModel, LoadRejectsTrailingGarbage) {
         << "version " << version;
     std::remove(path.c_str());
   }
+}
+
+/// Writes a trailer-less v2 artifact header (2:4, block 8) whose
+/// entry count is `entry_count`, then whatever `body` appends.
+std::string crafted_artifact(const char* stem, std::uint64_t entry_count,
+                             const std::function<void(std::ostream&)>& body) {
+  const std::string path = temp_path(stem);
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  io::write_pod(os, std::uint64_t{0x4352535050414B44});  // "CRSPPAKD"
+  io::write_pod(os, std::uint32_t{2});
+  for (const std::int64_t v : {2, 4, 8}) io::write_pod(os, v);  // n, m, block
+  io::write_pod(os, entry_count);
+  body(os);
+  return path;
+}
+
+TEST(PackedModel, LoadRejectsImplausibleEntryCount) {
+  // Reserving 2^62 entries threw std::length_error, not the documented
+  // runtime_error.
+  const std::string path = crafted_artifact(
+      "packed_entry_count.bin", std::uint64_t{1} << 62, [](std::ostream&) {});
+  EXPECT_THROW(PackedModel::load(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(PackedModel, LoadRejectsTensorShapeLargerThanTheFile) {
+  // A {2^32, 2^32} dense tensor wrapped its element count to 0 and loaded;
+  // any shape whose payload cannot fit in the file must be refused before
+  // the tensor is allocated.
+  const std::string path =
+      crafted_artifact("packed_huge_tensor.bin", 0, [](std::ostream& os) {
+        io::write_pod(os, std::uint64_t{1});  // dense tensor count
+        io::write_pod(os, std::uint64_t{1});  // name length
+        os.write("w", 1);
+        io::write_pod(os, std::uint64_t{2});  // rank
+        io::write_pod(os, std::int64_t{1} << 32);
+        io::write_pod(os, std::int64_t{1} << 32);
+      });
+  EXPECT_THROW(PackedModel::load(path), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 TEST(PackedModel, UnpackRestoresEffectiveWeightsAndMasks) {

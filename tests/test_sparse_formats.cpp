@@ -4,15 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "core/block_pruning.h"
+#include "kernels/simd_dispatch.h"
 #include "sparse/mask.h"
 #include "sparse/metadata.h"
 #include "sparse/nm.h"
 #include "sparse/quantized.h"
 #include "sparse/spmm.h"
 #include "tensor/pod_stream.h"
+#include "thread_guard.h"
 
 namespace crisp::sparse {
 namespace {
@@ -473,6 +478,135 @@ TEST(CrispQuantized, ReleaseWithoutQuantizeThrows) {
   cm.quantize_payload();
   cm.release_fp32_payload();
   EXPECT_THROW(cm.quantize_payload(), std::runtime_error);
+}
+
+TEST(CrispFormat, ReadRejectsOversizedSidesBeforeGridArithmetic) {
+  // cols = INT64_MAX would overflow BlockGrid::grid_cols() (cols + block -
+  // 1); the header must be refused before any grid arithmetic runs.
+  std::stringstream is(std::ios::in | std::ios::out | std::ios::binary);
+  io::write_pod(is, std::int64_t{8});                           // rows
+  io::write_pod(is, std::numeric_limits<std::int64_t>::max());  // cols
+  io::write_pod(is, std::int64_t{4});                           // block
+  io::write_pod(is, std::int64_t{2});                           // n
+  io::write_pod(is, std::int64_t{4});                           // m
+  io::write_pod(is, std::int64_t{0});                           // blocks/row
+  EXPECT_THROW(CrispMatrix::read(is), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// spmm_restricted: the in-place restriction the tenant overlay serves
+// through must compute bitwise what the materialized restriction computes.
+
+enum class Payload { kFp32, kInt8, kBoth };
+
+CrispMatrix with_payload(CrispMatrix cm, Payload payload) {
+  if (payload != Payload::kFp32) cm.quantize_payload();
+  if (payload == Payload::kInt8) cm.release_fp32_payload();
+  return cm;
+}
+
+/// Keeps `keep` seed-chosen stored blocks in every block-row.
+std::vector<std::uint8_t> kept_bitmap(const CrispMatrix& cm, std::int64_t keep,
+                                      Rng& rng) {
+  const std::int64_t bpr = cm.blocks_per_row();
+  const std::int64_t total = cm.grid().grid_rows() * bpr;
+  std::vector<std::uint8_t> bits(static_cast<std::size_t>((total + 7) / 8), 0);
+  for (std::int64_t br = 0; br < cm.grid().grid_rows(); ++br)
+    for (const std::int64_t i : rng.sample_without_replacement(bpr, keep)) {
+      const std::int64_t pos = br * bpr + i;
+      bits[static_cast<std::size_t>(pos >> 3)] |=
+          static_cast<std::uint8_t>(1u << (pos & 7));
+    }
+  return bits;
+}
+
+class CrispRestrictedTest : public CrispFormatTest {};
+
+TEST_P(CrispRestrictedTest, BitwiseEqualToMaterializedRestriction) {
+  const auto [rows, cols, block, n, m, pruned] = GetParam();
+  Rng rng(rows * 3 + cols + block);
+  const CrispMatrix encoded = CrispMatrix::encode(
+      as_matrix(hybrid_matrix(rows, cols, block, n, m, pruned, rng), rows,
+                cols),
+      block, n, m);
+  const std::int64_t bpr = encoded.blocks_per_row();
+  ASSERT_GT(bpr, 1) << "fixture must leave a proper subset to keep";
+  const std::int64_t gr = encoded.grid().grid_rows();
+  std::vector<float> scales;
+  for (std::int64_t br = 0; br < gr; ++br)
+    scales.push_back(0.01f * static_cast<float>(br + 1));
+
+  crisp::testing::ThreadGuard guard;
+  for (const Payload payload : {Payload::kFp32, Payload::kInt8, Payload::kBoth})
+    for (const std::int64_t keep : {std::int64_t{0}, std::int64_t{1}, bpr})
+      for (const bool scaled : {false, true})
+        for (const std::int64_t p : {std::int64_t{1}, std::int64_t{8}}) {
+          const CrispMatrix cm = with_payload(encoded, payload);
+          const std::vector<std::uint8_t> kept = kept_bitmap(cm, keep, rng);
+          const std::vector<float> row_scales =
+              scaled ? scales : std::vector<float>{};
+          CrispMatrix ref = cm.restricted_to_blocks(kept, keep);
+          if (scaled && ref.has_quantized()) ref.override_row_scales(scales);
+          const Tensor x = Tensor::randn({cols, p}, rng);
+          Tensor want({rows, p});
+          ref.spmm(as_matrix(x, cols, p), as_matrix(want, rows, p));
+
+          const auto run = [&] {
+            Tensor got = Tensor::full({rows, p}, 7.0f);  // spmm overwrites
+            cm.spmm_restricted(as_matrix(x, cols, p), as_matrix(got, rows, p),
+                               kept, keep, row_scales);
+            return got;
+          };
+          const auto bitwise_equal = [&](const Tensor& got) {
+            return std::memcmp(got.data(), want.data(),
+                               static_cast<std::size_t>(want.numel()) *
+                                   sizeof(float)) == 0;
+          };
+          const auto where = [&] {
+            std::ostringstream os;
+            os << "payload " << static_cast<int>(payload) << ", keep " << keep
+               << "/" << bpr << ", scaled " << scaled << ", p " << p;
+            return os.str();
+          };
+          for (const int threads : {1, 2, 8}) {
+            kernels::set_num_threads(threads);
+            EXPECT_TRUE(bitwise_equal(run()))
+                << where() << ", " << threads << " threads";
+          }
+          kernels::simd::TierScope scalar(kernels::simd::Tier::kScalar);
+          Tensor scalar_want({rows, p});
+          ref.spmm(as_matrix(x, cols, p), as_matrix(scalar_want, rows, p));
+          want = scalar_want;
+          EXPECT_TRUE(bitwise_equal(run())) << where() << ", scalar tier";
+        }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Patterns, CrispRestrictedTest,
+    ::testing::Values(CrispCase{16, 32, 8, 2, 4, 1},
+                      // Ragged: rows and cols not multiples of the block.
+                      CrispCase{36, 50, 8, 2, 4, 2},
+                      CrispCase{25, 30, 4, 1, 4, 3},
+                      // Enough work per block-row to split across threads.
+                      CrispCase{100, 198, 8, 2, 4, 5}));
+
+TEST(CrispRestricted, RejectsMisshapenArguments) {
+  Rng rng(21);
+  const CrispMatrix cm = CrispMatrix::encode(
+      as_matrix(hybrid_matrix(16, 32, 8, 2, 4, 1, rng), 16, 32), 8, 2, 4);
+  const std::vector<std::uint8_t> kept = kept_bitmap(cm, 1, rng);
+  const Tensor x = Tensor::randn({32, 2}, rng);
+  Tensor y({16, 2});
+  const auto call = [&](const std::vector<std::uint8_t>& bits,
+                        std::int64_t keep, const std::vector<float>& scales) {
+    cm.spmm_restricted(as_matrix(x, 32, 2), as_matrix(y, 16, 2), bits, keep,
+                       scales);
+  };
+  EXPECT_NO_THROW(call(kept, 1, {}));
+  EXPECT_THROW(call({}, 1, {}), std::runtime_error);           // bitmap size
+  EXPECT_THROW(call(kept, cm.blocks_per_row() + 1, {}),        // keep > bpr
+               std::runtime_error);
+  EXPECT_THROW(call(kept, 1, {1.0f}), std::runtime_error);     // scale count
 }
 
 // ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@
 #include "nn/linear.h"
 #include "nn/pooling.h"
 #include "tenant/router.h"
+#include "tensor/crc32.h"
+#include "tensor/pod_stream.h"
 #include "testing/fault_injection.h"
 #include "thread_guard.h"
 
@@ -275,6 +277,40 @@ TEST(MaskDelta, StreamRejectsHeaderAndBitmapCorruption) {
   const std::size_t last =
       bits_off + static_cast<std::size_t>((total + 7) / 8) - 1;
   EXPECT_THROW(read_delta_bytes(mutated(last, static_cast<char>(0x80))),
+               std::runtime_error);
+}
+
+/// A CRSPDELT v2 stream, valid CRC trailer included, holding one entry
+/// "w" whose header claims grid_rows x blocks_per_row blocks over an empty
+/// bitmap — what a corrupt or hostile shard record can hand the reader.
+std::string crafted_delta(std::int64_t grid_rows, std::int64_t blocks_per_row) {
+  std::stringstream os(std::ios::in | std::ios::out | std::ios::binary);
+  io::write_pod(os, std::uint64_t{0x4352535044454C54});  // "CRSPDELT"
+  io::write_pod(os, std::uint32_t{2});
+  io::Crc32Ostream co(os);
+  for (const std::int64_t v : {kBlock, kN, kM}) io::write_pod(co, v);
+  io::write_pod(co, std::uint64_t{1});  // entry count
+  io::write_pod(co, std::uint64_t{1});  // name length
+  co.write("w", 1);
+  io::write_pod(co, grid_rows);
+  io::write_pod(co, blocks_per_row);
+  io::write_pod(co, std::int64_t{0});  // kept_per_row
+  io::write_array(co, std::vector<std::uint8_t>{});
+  io::write_array(co, std::vector<float>{});
+  io::write_pod(os, co.crc());
+  return os.str();
+}
+
+TEST(MaskDelta, StreamRejectsGridsNoBitmapCanHold) {
+  // 2^40 rows x 2^30 blocks = 2^70 blocks wraps int64 to 0, which the
+  // empty bitmap would satisfy; the per-row popcount then reads past it.
+  const std::string wrapped =
+      crafted_delta(std::int64_t{1} << 40, std::int64_t{1} << 30);
+  ASSERT_EQ(wrapped.size(), 97u);
+  EXPECT_THROW(read_delta_bytes(wrapped), std::runtime_error);
+  // No blocks per row: nothing to overflow, but the per-row walk would
+  // spin once per claimed row.
+  EXPECT_THROW(read_delta_bytes(crafted_delta(std::int64_t{1} << 40, 0)),
                std::runtime_error);
 }
 
