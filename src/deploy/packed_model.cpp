@@ -1,89 +1,24 @@
 #include "deploy/packed_model.h"
 
+#include <algorithm>
 #include <fstream>
 #include <utility>
 
-#include "tensor/crc32.h"
 #include "tensor/pod_stream.h"
+#include "tensor/serialize.h"
 #include "testing/fault_injection.h"
 
 namespace crisp::deploy {
 
 namespace {
 
-constexpr std::uint64_t kMagic = 0x4352535050414B44ull;  // "CRSPPAKD"
-// v2: CrispMatrix entries carry an optional int8 payload (and may omit the
-// fp32 slots). v1 files lack the payload flag and are rejected.
-// v3: a CRC32C trailer over everything after the version field, and every
-// embedded QuantizedPayload carries its own trailer. v2 files still load
-// (crc_verified() == false); both versions reject trailing bytes.
-constexpr std::uint32_t kVersion = 3;
+// v2: CrispMatrix entries carry an optional int8 payload (v1 files, which
+// lack its flag, are rejected). v3 is sealed, and so is every embedded
+// QuantizedPayload; v2 still loads, with crc_verified() == false.
+constexpr io::Format<std::uint64_t> kFormat{"CRSPPAKD", 0x4352535050414B44ull,
+                                            2, 3, 3};
 
 constexpr const char* kCtx = "PackedModel::load";
-
-// Entry-count plausibility cap, checked before anything is sized from the
-// count (tenant::MaskDelta caps its entries the same way).
-constexpr std::uint64_t kMaxEntries = std::uint64_t{1} << 20;
-
-using io::write_pod;
-
-template <typename T>
-T read_pod(std::istream& is) {
-  return io::read_pod<T>(is, kCtx);
-}
-
-void write_string(std::ostream& os, const std::string& s) {
-  write_pod(os, static_cast<std::uint64_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string read_string(std::istream& is) {
-  const auto len = read_pod<std::uint64_t>(is);
-  CRISP_CHECK(len < (1u << 20), "PackedModel::load: implausible string length");
-  std::string s(static_cast<std::size_t>(len), '\0');
-  is.read(s.data(), static_cast<std::streamsize>(len));
-  CRISP_CHECK(is.good(), "PackedModel::load: truncated string");
-  return s;
-}
-
-void write_shape(std::ostream& os, const Shape& shape) {
-  write_pod(os, static_cast<std::uint64_t>(shape.size()));
-  for (const std::int64_t d : shape) write_pod(os, d);
-}
-
-/// Reads a shape of at most `max_numel` elements. The running product is
-/// checked in shape_numel's order, so it never overflows.
-Shape read_shape(std::istream& is, std::int64_t max_numel) {
-  const auto rank = read_pod<std::uint64_t>(is);
-  CRISP_CHECK(rank <= 8, "PackedModel::load: implausible tensor rank");
-  Shape shape(static_cast<std::size_t>(rank));
-  std::int64_t numel = 1;
-  for (auto& d : shape) {
-    d = read_pod<std::int64_t>(is);
-    CRISP_CHECK(d >= 0, "PackedModel::load: negative dimension");
-    CRISP_CHECK(numel == 0 || d <= max_numel / numel,
-                "PackedModel::load: tensor shape exceeds " << max_numel
-                    << " elements");
-    numel *= d;
-  }
-  return shape;
-}
-
-void write_tensor(std::ostream& os, const Tensor& t) {
-  write_shape(os, t.shape());
-  os.write(reinterpret_cast<const char*>(t.data()),
-           static_cast<std::streamsize>(t.numel()) *
-               static_cast<std::streamsize>(sizeof(float)));
-}
-
-Tensor read_tensor(std::istream& is, std::int64_t max_numel) {
-  Tensor t(read_shape(is, max_numel));
-  is.read(reinterpret_cast<char*>(t.data()),
-          static_cast<std::streamsize>(t.numel()) *
-              static_cast<std::streamsize>(sizeof(float)));
-  CRISP_CHECK(is.good(), "PackedModel::load: truncated tensor payload");
-  return t;
-}
 
 }  // namespace
 
@@ -135,81 +70,55 @@ PackedModel PackedModel::assemble(std::int64_t block, std::int64_t n,
 
 void PackedModel::save(const std::string& path, std::uint32_t version) const {
   testing::maybe_fail("packedmodel.save");
-  CRISP_CHECK(version == 2 || version == kVersion,
-              "PackedModel::save: cannot write version " << version);
+  kFormat.check_version(version);
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   CRISP_CHECK(os.is_open(), "PackedModel::save: cannot open " << path);
-  write_pod(os, kMagic);
-  write_pod(os, version);
-  io::Crc32Ostream co(os);
-  write_pod(co, n_);
-  write_pod(co, m_);
-  write_pod(co, block_);
-  write_pod(co, static_cast<std::uint64_t>(entries_.size()));
+  io::EnvelopeWriter body(os, kFormat, version);
+  io::write_pod(body, n_);
+  io::write_pod(body, m_);
+  io::write_pod(body, block_);
+  io::write_pod(body, static_cast<std::uint64_t>(entries_.size()));
   for (const PackedEntry& e : entries_) {
-    write_string(co, e.name);
-    write_shape(co, e.shape);
-    e.matrix.write(co, /*payload_crc=*/version >= 3);
+    io::write_string(body, e.name);
+    io::write_shape(body, e.shape);
+    e.matrix.write(body, /*payload_crc=*/kFormat.sealed(version));
   }
-  write_pod(co, static_cast<std::uint64_t>(dense_.size()));
-  for (const auto& [name, tensor] : dense_) {
-    write_string(co, name);
-    write_tensor(co, tensor);
-  }
-  if (version >= 3) write_pod(os, co.crc());
+  io::write_tensors(body, dense_);
+  body.finish();
   CRISP_CHECK(os.good(), "PackedModel::save: write failed for " << path);
 }
 
 PackedModel PackedModel::load(const std::string& path) {
   testing::maybe_fail("packedmodel.load");
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   CRISP_CHECK(is.is_open(), "PackedModel::load: cannot open " << path);
   // A dense tensor's payload cannot outgrow the file, so its shape is
   // bounded by the file size before the tensor is allocated.
-  is.seekg(0, std::ios::end);
-  const auto max_dense_numel =
-      static_cast<std::int64_t>(is.tellg()) /
-      static_cast<std::int64_t>(sizeof(float));
-  is.seekg(0, std::ios::beg);
-  CRISP_CHECK(read_pod<std::uint64_t>(is) == kMagic,
-              path << " is not a packed CRISP model");
-  const auto version = read_pod<std::uint32_t>(is);
-  CRISP_CHECK(version == 2 || version == kVersion,
-              "unsupported packed-model version in " << path);
-  io::Crc32Istream ci(is);
+  const std::int64_t max_dense_numel =
+      is.tellg() / std::streamoff{sizeof(float)};
+  io::EnvelopeReader body(is.seekg(0), kFormat);
   PackedModel out;
-  out.n_ = io::read_pod<std::int64_t>(ci, kCtx);
-  out.m_ = io::read_pod<std::int64_t>(ci, kCtx);
-  out.block_ = io::read_pod<std::int64_t>(ci, kCtx);
-  const auto entry_count = io::read_pod<std::uint64_t>(ci, kCtx);
-  CRISP_CHECK(entry_count <= kMaxEntries,
-              kCtx << ": implausible entry count " << entry_count);
-  out.entries_.reserve(static_cast<std::size_t>(entry_count));
+  out.n_ = io::read_pod<std::int64_t>(body, kCtx);
+  out.m_ = io::read_pod<std::int64_t>(body, kCtx);
+  out.block_ = io::read_pod<std::int64_t>(body, kCtx);
+  const auto entry_count = io::read_pod<std::uint64_t>(body, kCtx);
+  out.entries_.reserve(std::min(entry_count, io::kMaxReserve));
   for (std::uint64_t i = 0; i < entry_count; ++i) {
     PackedEntry e;
-    e.name = read_string(ci);
+    e.name = io::read_string(body, kCtx);
     // A packed entry's shape must match its matrix, whose sides
     // CrispMatrix::read bounds.
-    e.shape = read_shape(ci, sparse::kMaxMatrixSide * sparse::kMaxMatrixSide);
-    e.matrix = sparse::CrispMatrix::read(ci, /*payload_crc=*/version >= 3);
+    e.shape = io::read_shape(
+        body, sparse::kMaxMatrixSide * sparse::kMaxMatrixSide, kCtx);
+    e.matrix = sparse::CrispMatrix::read(body, /*payload_crc=*/body.sealed());
     CRISP_CHECK(shape_numel(e.shape) ==
                     e.matrix.rows() * e.matrix.cols(),
                 "PackedModel::load: entry " << e.name
                                             << " shape/matrix mismatch");
     out.entries_.push_back(std::move(e));
   }
-  const auto dense_count = io::read_pod<std::uint64_t>(ci, kCtx);
-  for (std::uint64_t i = 0; i < dense_count; ++i) {
-    std::string name = read_string(ci);
-    out.dense_.emplace(std::move(name), read_tensor(ci, max_dense_numel));
-  }
-  if (version >= 3) {
-    const std::uint32_t want = ci.crc();
-    const auto got = io::read_pod<std::uint32_t>(is, kCtx);
-    CRISP_CHECK(got == want,
-                kCtx << ": checksum mismatch (artifact corrupt) in " << path);
-    out.crc_verified_ = true;
-  }
+  out.dense_ = io::read_tensors(body, max_dense_numel, kCtx);
+  out.crc_verified_ = body.finish();
   // Either version must end exactly here: trailing bytes mean the file is
   // not what the writer produced (appended garbage, a concatenated file).
   CRISP_CHECK(is.peek() == std::char_traits<char>::eof(),

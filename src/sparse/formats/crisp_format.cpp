@@ -403,7 +403,7 @@ CrispMatrix CrispMatrix::read(std::istream& is, bool payload_crc) {
   CRISP_CHECK(static_cast<std::int64_t>(out.block_cols_.size()) == total_blocks,
               "CrispMatrix::read: block index count mismatch");
   // total_blocks * slots_per_block() can overflow for a hostile block side,
-  // so the offsets array (capped by read_array) is divided instead.
+  // so the offsets array (no longer than the bytes read) is divided instead.
   const auto slots = static_cast<std::int64_t>(out.offsets_.size());
   CRISP_CHECK(slots % out.slots_per_block() == 0 &&
                   slots / out.slots_per_block() == total_blocks,

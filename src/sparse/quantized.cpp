@@ -7,7 +7,6 @@
 #include <ostream>
 
 #include "tensor/check.h"
-#include "tensor/crc32.h"
 #include "tensor/pod_stream.h"
 
 namespace crisp::sparse {
@@ -76,25 +75,20 @@ std::vector<float> QuantizedPayload::dequantized() const {
 }
 
 void QuantizedPayload::write(std::ostream& os, bool crc_trailer) const {
-  io::Crc32Ostream co(os);
-  io::write_pod(co, group_size);
-  io::write_array(co, values);
-  io::write_array(co, scales);
-  if (crc_trailer) io::write_pod(os, co.crc());
+  io::EnvelopeWriter body(os, crc_trailer);
+  io::write_pod(body, group_size);
+  io::write_array(body, values);
+  io::write_array(body, scales);
+  body.finish();
 }
 
 QuantizedPayload QuantizedPayload::read(std::istream& is, bool crc_trailer) {
-  io::Crc32Istream ci(is);
+  io::EnvelopeReader body(is, kCtx, crc_trailer);
   QuantizedPayload out;
-  out.group_size = io::read_pod<std::int64_t>(ci, kCtx);
-  out.values = io::read_array<std::int8_t>(ci, kCtx);
-  out.scales = io::read_array<float>(ci, kCtx);
-  if (crc_trailer) {
-    const std::uint32_t want = ci.crc();
-    const auto got = io::read_pod<std::uint32_t>(is, kCtx);
-    CRISP_CHECK(got == want,
-                kCtx << ": checksum mismatch (payload corrupt)");
-  }
+  out.group_size = io::read_pod<std::int64_t>(body, kCtx);
+  out.values = io::read_array<std::int8_t>(body, kCtx);
+  out.scales = io::read_array<float>(body, kCtx);
+  body.finish();
   if (out.values.empty()) {
     CRISP_CHECK(out.scales.empty() && out.group_size == 0,
                 "QuantizedPayload::read: empty payload with non-empty header");

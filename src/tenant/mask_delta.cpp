@@ -1,12 +1,12 @@
 #include "tenant/mask_delta.h"
 
+#include <algorithm>
 #include <cmath>
 #include <istream>
 #include <ostream>
 #include <utility>
 
 #include "sparse/block.h"
-#include "tensor/crc32.h"
 #include "tensor/pod_stream.h"
 #include "testing/fault_injection.h"
 
@@ -14,10 +14,10 @@ namespace crisp::tenant {
 
 namespace {
 
-constexpr std::uint64_t kMagic = 0x4352535044454C54ull;  // "CRSPDELT"
-// v2: a CRC32C trailer over everything after the version field. v1 files
-// (no trailer, same body layout) still read, without integrity cover.
-constexpr std::uint32_t kVersion = 2;
+// v2 is sealed; v1 (same body, no trailer) still reads, without integrity
+// cover.
+constexpr io::Format<std::uint64_t> kFormat{"CRSPDELT", 0x4352535044454C54ull,
+                                            1, 2, 2};
 
 constexpr const char* kCtx = "MaskDelta::read";
 
@@ -73,20 +73,6 @@ void check_entry(const EntryDelta& d, const char* ctx) {
   for (const float s : d.scale_overrides)
     CRISP_CHECK(std::isfinite(s),
                 ctx << ": entry " << d.name << " has a non-finite scale");
-}
-
-void write_string(std::ostream& os, const std::string& s) {
-  io::write_pod(os, static_cast<std::uint64_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string read_string(std::istream& is) {
-  const auto len = io::read_pod<std::uint64_t>(is, kCtx);
-  CRISP_CHECK(len < (1u << 20), kCtx << ": implausible string length");
-  std::string s(static_cast<std::size_t>(len), '\0');
-  is.read(s.data(), static_cast<std::streamsize>(len));
-  CRISP_CHECK(is.good(), kCtx << ": truncated string");
-  return s;
 }
 
 }  // namespace
@@ -215,60 +201,46 @@ void MaskDelta::validate(const BaseArtifact& base) const {
 
 void MaskDelta::write(std::ostream& os) const {
   testing::maybe_fail("maskdelta.write");
-  io::write_pod(os, kMagic);
-  io::write_pod(os, kVersion);
-  // Everything after the version field is covered by the trailer CRC, so a
-  // bit flip anywhere in the body fails loudly at read time.
-  io::Crc32Ostream co(os);
-  io::write_pod(co, block_);
-  io::write_pod(co, n_);
-  io::write_pod(co, m_);
-  io::write_pod(co, static_cast<std::uint64_t>(entries_.size()));
+  io::EnvelopeWriter body(os, kFormat, kFormat.newest);
+  io::write_pod(body, block_);
+  io::write_pod(body, n_);
+  io::write_pod(body, m_);
+  io::write_pod(body, static_cast<std::uint64_t>(entries_.size()));
   for (const EntryDelta& d : entries_) {
-    write_string(co, d.name);
-    io::write_pod(co, d.grid_rows);
-    io::write_pod(co, d.base_blocks_per_row);
-    io::write_pod(co, d.kept_per_row);
-    io::write_array(co, d.kept_bits);
-    io::write_array(co, d.scale_overrides);
+    io::write_string(body, d.name);
+    io::write_pod(body, d.grid_rows);
+    io::write_pod(body, d.base_blocks_per_row);
+    io::write_pod(body, d.kept_per_row);
+    io::write_array(body, d.kept_bits);
+    io::write_array(body, d.scale_overrides);
   }
-  io::write_pod(os, co.crc());
+  body.finish();
 }
 
 MaskDelta MaskDelta::read(std::istream& is) {
   testing::maybe_fail("maskdelta.read");
-  CRISP_CHECK(io::read_pod<std::uint64_t>(is, kCtx) == kMagic,
-              kCtx << ": not a tenant mask delta (bad magic)");
-  const auto version = io::read_pod<std::uint32_t>(is, kCtx);
-  CRISP_CHECK(version == 1 || version == kVersion,
-              kCtx << ": unsupported tenant delta version " << version);
-  io::Crc32Istream ci(is);
+  io::EnvelopeReader body(is, kFormat);
   MaskDelta out;
-  out.block_ = io::read_pod<std::int64_t>(ci, kCtx);
-  out.n_ = io::read_pod<std::int64_t>(ci, kCtx);
-  out.m_ = io::read_pod<std::int64_t>(ci, kCtx);
+  out.block_ = io::read_pod<std::int64_t>(body, kCtx);
+  out.n_ = io::read_pod<std::int64_t>(body, kCtx);
+  out.m_ = io::read_pod<std::int64_t>(body, kCtx);
   CRISP_CHECK(out.block_ >= 1 && out.m_ >= 1 && out.n_ >= 1 &&
                   out.n_ <= out.m_ && out.block_ % out.m_ == 0,
               kCtx << ": inconsistent geometry header");
-  const auto count = io::read_pod<std::uint64_t>(ci, kCtx);
-  CRISP_CHECK(count < (1u << 20), kCtx << ": implausible entry count");
-  out.entries_.reserve(static_cast<std::size_t>(count));
+  const auto count = io::read_pod<std::uint64_t>(body, kCtx);
+  out.entries_.reserve(std::min(count, io::kMaxReserve));
   for (std::uint64_t i = 0; i < count; ++i) {
     EntryDelta d;
-    d.name = read_string(ci);
-    d.grid_rows = io::read_pod<std::int64_t>(ci, kCtx);
-    d.base_blocks_per_row = io::read_pod<std::int64_t>(ci, kCtx);
-    d.kept_per_row = io::read_pod<std::int64_t>(ci, kCtx);
-    d.kept_bits = io::read_array<std::uint8_t>(ci, kCtx);
-    d.scale_overrides = io::read_array<float>(ci, kCtx);
+    d.name = io::read_string(body, kCtx);
+    d.grid_rows = io::read_pod<std::int64_t>(body, kCtx);
+    d.base_blocks_per_row = io::read_pod<std::int64_t>(body, kCtx);
+    d.kept_per_row = io::read_pod<std::int64_t>(body, kCtx);
+    d.kept_bits = io::read_array<std::uint8_t>(body, kCtx);
+    d.scale_overrides = io::read_array<float>(body, kCtx);
     check_entry(d, kCtx);
     out.entries_.push_back(std::move(d));
   }
-  if (version >= 2) {
-    const std::uint32_t want = ci.crc();
-    const auto got = io::read_pod<std::uint32_t>(is, kCtx);
-    CRISP_CHECK(got == want, kCtx << ": checksum mismatch (delta corrupt)");
-  }
+  body.finish();
   return out;
 }
 

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "tensor/crc32.h"
 #include "tensor/pod_stream.h"
@@ -20,9 +21,8 @@ namespace crisp::tenant {
 
 namespace {
 
-constexpr std::uint64_t kMagic = 0x4352535053485244ull;  // "CRSPSHRD"
-constexpr std::uint32_t kVersion = 1;
-constexpr std::int64_t kHeaderBytes = 12;
+constexpr io::Format<std::uint64_t> kFormat{"CRSPSHRD", 0x4352535053485244ull,
+                                            1, 1};
 // Frames above this are treated as corrupt, not allocated: a flipped bit
 // in a length field must end the scan, never exhaust memory.
 constexpr std::uint32_t kMaxRecordBytes = 1u << 30;
@@ -33,21 +33,20 @@ constexpr const char* kCtx = "tenant::scan_shard";
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
-/// Writes all of data[0..len) to fd, honoring an armed torn-write budget:
-/// when `torn_site` fires, only fault_arg(torn_site) bytes reach the file
-/// before the injected crash (a throw). EINTR-safe.
-void write_all(int fd, const char* data, std::size_t len,
-               const char* torn_site) {
-  std::size_t budget = len;
+/// Writes all of `data` to fd, honoring an armed torn-write budget: when
+/// `torn_site` fires, only fault_arg(torn_site) bytes reach the file before
+/// the injected crash (a throw). EINTR-safe.
+void write_all(int fd, std::string_view data, const char* torn_site) {
+  std::size_t budget = data.size();
   bool torn = false;
   if (torn_site != nullptr && testing::should_fail(torn_site)) {
     const std::int64_t arg = testing::fault_arg(torn_site);
-    budget = arg < 0 ? 0 : std::min(len, static_cast<std::size_t>(arg));
+    budget = arg < 0 ? 0 : std::min(budget, static_cast<std::size_t>(arg));
     torn = true;
   }
   std::size_t off = 0;
   while (off < budget) {
-    const ssize_t n = ::write(fd, data + off, budget - off);
+    const ssize_t n = ::write(fd, data.data() + off, budget - off);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw_errno("tenant shard: write failed");
@@ -85,28 +84,19 @@ struct FdCloser {
   }
 };
 
-std::string header_bytes() {
-  std::ostringstream os(std::ios::binary);
-  io::write_pod(os, kMagic);
-  io::write_pod(os, kVersion);
-  return os.str();
-}
-
-/// u32 length | u32 crc32c(body) | body, body = u64 id len | id | delta.
-std::string frame_record(const std::string& tenant_id, const MaskDelta& delta) {
+/// Appends u32 length | u32 crc32c(body) | body to `os`, where body =
+/// u64 id length | id | delta.
+void write_record(std::ostream& os, const std::string& tenant_id,
+                  const MaskDelta& delta) {
   std::ostringstream body(std::ios::binary);
-  io::write_pod(body, static_cast<std::uint64_t>(tenant_id.size()));
-  body.write(tenant_id.data(),
-             static_cast<std::streamsize>(tenant_id.size()));
+  io::write_string(body, tenant_id);
   delta.write(body);
-  const std::string b = body.str();
+  const std::string_view b = body.view();
   CRISP_CHECK(b.size() < kMaxRecordBytes,
               "tenant shard: record for " << tenant_id << " implausibly large");
-  std::ostringstream frame(std::ios::binary);
-  io::write_pod(frame, static_cast<std::uint32_t>(b.size()));
-  io::write_pod(frame, io::crc32c(b.data(), b.size()));
-  frame.write(b.data(), static_cast<std::streamsize>(b.size()));
-  return frame.str();
+  io::write_pod(os, static_cast<std::uint32_t>(b.size()));
+  io::write_pod(os, io::crc32c(b.data(), b.size()));
+  os.write(b.data(), static_cast<std::streamsize>(b.size()));
 }
 
 }  // namespace
@@ -115,10 +105,11 @@ void write_shard(
     const std::string& path,
     const std::vector<std::pair<std::string, std::shared_ptr<const MaskDelta>>>&
         records) {
-  std::string image = header_bytes();
+  std::ostringstream image(std::ios::binary);
+  io::write_header(image, kFormat, kFormat.newest);
   for (const auto& [id, delta] : records) {
     CRISP_CHECK(delta != nullptr, "tenant::write_shard: null delta for " << id);
-    image += frame_record(id, *delta);
+    write_record(image, id, *delta);
   }
 
   const std::string tmp = path + ".tmp";
@@ -126,7 +117,7 @@ void write_shard(
   if (fd < 0) throw_errno("tenant::write_shard: cannot open " + tmp);
   {
     FdCloser closer{fd};
-    write_all(fd, image.data(), image.size(), "shard.save.torn");
+    write_all(fd, image.view(), "shard.save.torn");
     fsync_or_throw(fd, "tenant::write_shard: fsync failed");
   }
   testing::maybe_fail("shard.save.before_rename");
@@ -137,7 +128,8 @@ void write_shard(
 
 void append_shard(const std::string& path, const std::string& tenant_id,
                   const MaskDelta& delta) {
-  const std::string frame = frame_record(tenant_id, delta);
+  std::ostringstream frame(std::ios::binary);
+  write_record(frame, tenant_id, delta);
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd < 0) throw_errno("tenant::append_shard: cannot open " + path);
   FdCloser closer{fd};
@@ -145,38 +137,32 @@ void append_shard(const std::string& path, const std::string& tenant_id,
   if (::fstat(fd, &st) != 0)
     throw_errno("tenant::append_shard: fstat failed for " + path);
   if (st.st_size == 0) {
-    const std::string header = header_bytes();
-    write_all(fd, header.data(), header.size(), nullptr);
+    std::ostringstream header(std::ios::binary);
+    io::write_header(header, kFormat, kFormat.newest);
+    write_all(fd, header.view(), nullptr);
     fsync_parent_dir(path);  // the file itself may be freshly created
   }
-  write_all(fd, frame.data(), frame.size(), "shard.append.torn");
+  write_all(fd, frame.view(), "shard.append.torn");
   fsync_or_throw(fd, "tenant::append_shard: fsync failed");
 }
 
 ShardScanResult scan_shard(const std::string& path, bool repair) {
-  std::ifstream is(path, std::ios::binary);
-  CRISP_CHECK(is.is_open(), kCtx << ": cannot open " << path);
-  std::ostringstream buf(std::ios::binary);
-  buf << is.rdbuf();
-  const std::string file = buf.str();
-  const std::int64_t size = static_cast<std::int64_t>(file.size());
+  // One read, into a buffer sized from the file.
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  const std::int64_t size = is.tellg();
+  CRISP_CHECK(is.is_open() && size >= 0, kCtx << ": cannot open " << path);
+  std::string file(static_cast<std::size_t>(size), '\0');
+  CRISP_CHECK(is.seekg(0).read(file.data(), size),
+              kCtx << ": cannot read " << path);
 
   ShardScanResult out;
-  if (size < kHeaderBytes) {
+  if (size < kFormat.kHeaderSize) {
     // A crash before the header committed: nothing was ever recorded.
     out.report.dropped_bytes = size;
     out.good_bytes = 0;
   } else {
-    std::uint64_t magic;
-    std::uint32_t version;
-    std::memcpy(&magic, file.data(), sizeof(magic));
-    std::memcpy(&version, file.data() + sizeof(magic), sizeof(version));
-    CRISP_CHECK(magic == kMagic,
-                kCtx << ": " << path << " is not a tenant shard (bad magic)");
-    CRISP_CHECK(version == kVersion,
-                kCtx << ": unsupported shard version " << version << " in "
-                     << path);
-    std::int64_t off = kHeaderBytes;
+    io::read_header(is.seekg(0), kFormat);
+    std::int64_t off = kFormat.kHeaderSize;
     out.good_bytes = off;
     while (off < size) {
       if (size - off < 8) break;  // torn frame header
@@ -193,15 +179,9 @@ ShardScanResult scan_shard(const std::string& path, bool repair) {
         break;
       }
       ShardRecord rec;
-      bool ok = true;
       try {
         std::istringstream body_is(std::string(body, len), std::ios::binary);
-        const auto id_len = io::read_pod<std::uint64_t>(body_is, kCtx);
-        CRISP_CHECK(id_len < (1u << 20), kCtx << ": implausible id length");
-        rec.tenant_id.resize(static_cast<std::size_t>(id_len));
-        body_is.read(rec.tenant_id.data(),
-                     static_cast<std::streamsize>(id_len));
-        CRISP_CHECK(body_is.good(), kCtx << ": truncated tenant id");
+        rec.tenant_id = io::read_string(body_is, kCtx);
         rec.delta = MaskDelta::read(body_is);
         CRISP_CHECK(body_is.peek() == std::char_traits<char>::eof(),
                     kCtx << ": trailing bytes inside record body");
@@ -209,9 +189,8 @@ ShardScanResult scan_shard(const std::string& path, bool repair) {
         // The checksum held, so this is writer-shaped corruption, not bit
         // rot; still nothing to trust past it.
         out.report.malformed = 1;
-        ok = false;
+        break;
       }
-      if (!ok) break;
       out.records.push_back(std::move(rec));
       ++out.report.records;
       off += 8 + static_cast<std::int64_t>(len);
@@ -223,7 +202,6 @@ ShardScanResult scan_shard(const std::string& path, bool repair) {
   // The report always describes what the scan *found*; repair only changes
   // what is left on disk afterwards.
   if (repair && out.report.dropped_bytes > 0) {
-    is.close();
     if (::truncate(path.c_str(), out.good_bytes) != 0)
       throw_errno("tenant::scan_shard: repair truncate failed for " + path);
   }

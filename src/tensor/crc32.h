@@ -12,11 +12,9 @@
 //
 // The stream wrappers are unbuffered tees: Crc32Ostream forwards every
 // byte to the wrapped stream's buffer while folding it into the running
-// checksum (and vice versa for Crc32Istream), so existing write()/read()
-// code gains integrity by swapping the stream argument — no format code
-// changes. Positions stay in sync with the underlying stream, which lets a
-// reader pull a trailing checksum from the *raw* stream right after the
-// checksummed body.
+// checksum (and vice versa for Crc32Istream). Positions stay in sync with
+// the underlying stream, so the envelope (tensor/pod_stream.h) reads a
+// body's trailer from the raw stream right behind it.
 #pragma once
 
 #include <cstddef>

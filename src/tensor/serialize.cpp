@@ -1,6 +1,5 @@
 #include "tensor/serialize.h"
 
-#include <cstdint>
 #include <fstream>
 
 #include "tensor/pod_stream.h"
@@ -9,68 +8,87 @@ namespace crisp {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x43525350;  // "CRSP"
-constexpr std::uint32_t kVersion = 1;
-
-using io::write_pod;
-
-template <typename T>
-T read_pod(std::istream& is) {
-  return io::read_pod<T>(is, "tensor file");
-}
+constexpr io::Format<std::uint32_t> kFormat{"tensor file", 0x43525350, 1, 1};
 
 }  // namespace
 
 void save_tensors(const TensorMap& tensors, const std::string& path) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   CRISP_CHECK(os.good(), "cannot open for writing: " << path);
-  write_pod(os, kMagic);
-  write_pod(os, kVersion);
-  write_pod(os, static_cast<std::uint64_t>(tensors.size()));
-  for (const auto& [name, tensor] : tensors) {
-    write_pod(os, static_cast<std::uint64_t>(name.size()));
-    os.write(name.data(), static_cast<std::streamsize>(name.size()));
-    write_pod(os, static_cast<std::uint64_t>(tensor.dim()));
-    for (std::int64_t a = 0; a < tensor.dim(); ++a)
-      write_pod(os, static_cast<std::int64_t>(tensor.size(a)));
-    os.write(reinterpret_cast<const char*>(tensor.data()),
-             static_cast<std::streamsize>(tensor.numel() * sizeof(float)));
-  }
+  io::write_header(os, kFormat, kFormat.newest);
+  io::write_tensors(os, tensors);
   CRISP_CHECK(os.good(), "write failure on " << path);
 }
 
 TensorMap load_tensors(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   CRISP_CHECK(is.good(), "cannot open for reading: " << path);
-  CRISP_CHECK(read_pod<std::uint32_t>(is) == kMagic,
-              "bad magic in tensor file " << path);
-  const auto version = read_pod<std::uint32_t>(is);
-  CRISP_CHECK(version == kVersion, "unsupported tensor-file version " << version);
-  const auto count = read_pod<std::uint64_t>(is);
+  // No tensor holds more floats than the file holds bytes for.
+  const std::int64_t max_numel = is.tellg() / std::streamoff{sizeof(float)};
+  io::read_header(is.seekg(0), kFormat);
+  return io::read_tensors(is, max_numel, kFormat.name);
+}
+
+bool is_tensor_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  try {
+    io::read_header(is, kFormat);
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+}
+
+namespace io {
+
+void write_shape(std::ostream& os, const Shape& shape) {
+  write_pod(os, static_cast<std::uint64_t>(shape.size()));
+  for (const std::int64_t d : shape) write_pod(os, d);
+}
+
+Shape read_shape(std::istream& is, std::int64_t max_numel,
+                 const char* context) {
+  const auto rank = read_pod<std::uint64_t>(is, context);
+  CRISP_CHECK(rank <= 8, context << ": implausible tensor rank");
+  Shape shape(static_cast<std::size_t>(rank));
+  std::int64_t numel = 1;
+  for (auto& d : shape) {
+    d = read_pod<std::int64_t>(is, context);
+    CRISP_CHECK(d >= 0, context << ": negative dimension");
+    CRISP_CHECK(numel == 0 || d <= max_numel / numel,
+                context << ": tensor shape exceeds " << max_numel
+                        << " elements");
+    numel *= d;
+  }
+  return shape;
+}
+
+void write_tensors(std::ostream& os, const TensorMap& tensors) {
+  write_pod(os, static_cast<std::uint64_t>(tensors.size()));
+  for (const auto& [name, t] : tensors) {
+    write_string(os, name);
+    write_shape(os, t.shape());
+    os.write(reinterpret_cast<const char*>(t.data()),
+             static_cast<std::streamsize>(t.numel()) *
+                 static_cast<std::streamsize>(sizeof(float)));
+  }
+}
+
+TensorMap read_tensors(std::istream& is, std::int64_t max_numel,
+                       const char* context) {
+  const auto count = read_pod<std::uint64_t>(is, context);
   TensorMap out;
-  for (std::uint64_t e = 0; e < count; ++e) {
-    const auto name_len = read_pod<std::uint64_t>(is);
-    std::string name(name_len, '\0');
-    is.read(name.data(), static_cast<std::streamsize>(name_len));
-    CRISP_CHECK(is.good(), "truncated name in tensor file");
-    const auto rank = read_pod<std::uint64_t>(is);
-    Shape shape(rank);
-    for (auto& d : shape) d = read_pod<std::int64_t>(is);
-    Tensor t(shape);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::string name = read_string(is, context);
+    Tensor t(read_shape(is, max_numel, context));
     is.read(reinterpret_cast<char*>(t.data()),
-            static_cast<std::streamsize>(t.numel() * sizeof(float)));
-    CRISP_CHECK(is.good(), "truncated payload for tensor " << name);
+            static_cast<std::streamsize>(t.numel()) *
+                static_cast<std::streamsize>(sizeof(float)));
+    CRISP_CHECK(is.good(), context << ": truncated tensor " << name);
     out.emplace(std::move(name), std::move(t));
   }
   return out;
 }
 
-bool is_tensor_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return false;
-  std::uint32_t magic = 0;
-  is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  return is.good() && magic == kMagic;
-}
-
+}  // namespace io
 }  // namespace crisp
